@@ -16,11 +16,15 @@
 //! Each section is wall-clock timed (the one legitimate use of host time
 //! in the workspace: measuring the simulator itself) and reports kernel
 //! events/sec, computed from [`simcore::EventQueueStats`] — total pushes
-//! (fresh allocations + free-list recycles) minus events still pending.
-//! Results go to `BENCH_kernel.json`; `simcheck`'s `benchcheck` bin
-//! asserts the file is well-formed and each section clears a conservative
-//! sanity floor (~1/10 of typical release-build numbers), so a silent
-//! 10x regression in kernel speed fails CI without flaking on host noise.
+//! (fresh allocations + free-list recycles) minus events still pending —
+//! plus the run-token handoff counts from the same stats: `handoffs`
+//! (the token moved to another process thread, a host context switch)
+//! and `self_handoffs` (the blocking process was picked again and kept
+//! running). Results go to `BENCH_kernel.json` with a `host` block (CPU
+//! count, build profile, scale); `simcheck`'s `benchcheck` bin asserts
+//! the file is well-formed and each section clears a conservative sanity
+//! floor (~1/10 of typical release-build numbers), so a silent 10x
+//! regression in kernel speed fails CI without flaking on host noise.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,6 +50,10 @@ pub struct Section {
     pub events: u64,
     /// Host wall time for the timed region.
     pub elapsed: Duration,
+    /// Run-token passes between process threads (0 for `wheel_raw`).
+    pub handoffs: u64,
+    /// Scheduling steps that kept the token on the blocking process.
+    pub self_handoffs: u64,
 }
 
 impl Section {
@@ -77,10 +85,26 @@ fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (r, t0.elapsed())
 }
 
-/// Kernel events fired so far: total pushes minus still-pending.
-fn events_fired(sim: &Sim) -> u64 {
+/// A section measured through the full kernel: events fired (total
+/// pushes minus still-pending) and handoffs come from `sim`'s stats.
+fn sim_section(
+    name: &'static str,
+    work: u64,
+    work_unit: &'static str,
+    sim: &Sim,
+    elapsed: Duration,
+) -> Section {
     let s = sim.event_queue_stats();
-    (s.allocated_nodes + s.recycled_pushes).saturating_sub(s.len as u64)
+    let events = (s.allocated_nodes + s.recycled_pushes).saturating_sub(s.len as u64);
+    Section {
+        name,
+        work,
+        work_unit,
+        events,
+        elapsed,
+        handoffs: s.handoffs,
+        self_handoffs: s.self_handoffs,
+    }
 }
 
 /// Sleep periods for the churn daemons: co-prime-ish and spanning wheel
@@ -111,7 +135,15 @@ fn wheel_raw(scale: Scale) -> Section {
         stats.recycled_pushes > cycles / 2,
         "steady-state churn must recycle slab nodes, got {stats:?}"
     );
-    Section { name: "wheel_raw", work: cycles, work_unit: "timer cycles", events: cycles, elapsed }
+    Section {
+        name: "wheel_raw",
+        work: cycles,
+        work_unit: "timer cycles",
+        events: cycles,
+        elapsed,
+        handoffs: 0,
+        self_handoffs: 0,
+    }
 }
 
 fn timer_churn(scale: Scale) -> Section {
@@ -123,9 +155,9 @@ fn timer_churn(scale: Scale) -> Section {
         });
     }
     let (_, elapsed) = timed(|| sim.run_for(run));
-    let events = events_fired(&sim);
-    assert!(events > 1_000, "churn must fire many timer events, got {events}");
-    Section { name: "timer_churn", work: events, work_unit: "timer wakes", events, elapsed }
+    let s = sim_section("timer_churn", 0, "timer wakes", &sim, elapsed);
+    assert!(s.events > 1_000, "churn must fire many timer events, got {}", s.events);
+    Section { work: s.events, ..s }
 }
 
 fn ping_ring(scale: Scale) -> Section {
@@ -154,9 +186,9 @@ fn ping_ring(scale: Scale) -> Section {
     }
     let (out, elapsed) = timed(|| sim.run_until_idle());
     out.expect_quiescent();
-    let events = events_fired(&sim);
-    assert!(events >= hops, "every hop is at least one kernel event");
-    Section { name: "ping_ring", work: hops, work_unit: "message hops", events, elapsed }
+    let s = sim_section("ping_ring", hops, "message hops", &sim, elapsed);
+    assert!(s.events >= hops, "every hop is at least one kernel event");
+    s
 }
 
 fn dso_smoke(scale: Scale) -> Section {
@@ -198,8 +230,7 @@ fn dso_smoke(scale: Scale) -> Section {
         "every increment must land exactly once"
     );
     let ops = writers * incs + readers * reads;
-    let events = events_fired(&sim);
-    Section { name: "dso_smoke", work: ops, work_unit: "object ops", events, elapsed }
+    sim_section("dso_smoke", ops, "object ops", &sim, elapsed)
 }
 
 /// Runs every section, renders the table, writes `BENCH_kernel.json`.
@@ -209,13 +240,23 @@ pub fn kernel_bench(scale: Scale) -> (Table, KernelBenchReport) {
     };
     let mut t = Table::new(
         "kernel-bench — event-queue and kernel throughput",
-        &["Section", "Work", "Kernel events", "Wall time", "Events/sec"],
+        &[
+            "Section",
+            "Work",
+            "Kernel events",
+            "Handoffs",
+            "Self-handoffs",
+            "Wall time",
+            "Events/sec",
+        ],
     );
     for s in &report.sections {
         t.row(&[
             s.name.into(),
             format!("{} {}", s.work, s.work_unit),
             s.events.to_string(),
+            s.handoffs.to_string(),
+            s.self_handoffs.to_string(),
             fmt_dur(s.elapsed),
             format!("{:.0}", s.events_per_s()),
         ]);
@@ -233,19 +274,25 @@ fn write_json(scale: Scale, report: &KernelBenchReport) -> std::io::Result<()> {
         .map(|s| {
             format!(
                 "    {{\"name\": \"{}\", \"work\": {}, \"work_unit\": \"{}\", \
-                 \"events\": {}, \"elapsed_s\": {:.6}, \"events_per_s\": {:.1}}}",
+                 \"events\": {}, \"elapsed_s\": {:.6}, \"events_per_s\": {:.1}, \
+                 \"handoffs\": {}, \"self_handoffs\": {}}}",
                 s.name,
                 s.work,
                 s.work_unit,
                 s.events,
                 s.elapsed.as_secs_f64(),
                 s.events_per_s(),
+                s.handoffs,
+                s.self_handoffs,
             )
         })
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"bench\": \"kernel\",\n  \"scale\": \"{}\",\n  \"sections\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"kernel\",\n  \"host\": {{\"nproc\": {}, \"build_profile\": \"{}\", \
+         \"scale\": \"{}\"}},\n  \"sections\": [\n{}\n  ]\n}}\n",
+        std::thread::available_parallelism().map_or(0, |n| n.get()),
+        if cfg!(debug_assertions) { "debug" } else { "release" },
         match scale {
             Scale::Quick => "quick",
             Scale::Paper => "paper",

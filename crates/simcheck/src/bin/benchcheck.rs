@@ -11,7 +11,10 @@
 //!   sanity floor, set at roughly 1/10 of a typical release-build run so
 //!   host noise cannot flake the gate but an order-of-magnitude kernel
 //!   regression (a reintroduced hot-path allocation, an accidental O(n)
-//!   queue scan) fails CI.
+//!   queue scan) fails CI. The report must also say where it ran (a
+//!   `host` block with `nproc`, `build_profile` and `scale`), and every
+//!   section run through the kernel must record run-token handoffs
+//!   (`handoffs + self_handoffs > 0`).
 //! * `"bench": "consistency"` (`experiments consistency-ablate`) — every
 //!   cell of the mode × cache matrix is present with a positive
 //!   `reads_per_s`, and the relational claims of the ablation hold:
@@ -52,6 +55,10 @@ const FLOORS: [(&str, f64); 4] = [
     ("ping_ring", 15_000.0),
     ("dso_smoke", 15_000.0),
 ];
+
+/// The one kernel section that bypasses the kernel (the bare timing
+/// wheel), so it passes no run token.
+const WHEEL_ONLY: &str = "wheel_raw";
 
 /// One gate failure, structured so `--json` output carries the numbers
 /// (not just prose) for dashboards and trend tooling.
@@ -150,6 +157,15 @@ fn validate_kernel(doc: &Json) -> Vec<Violation> {
         errs.push(Violation::doc("top-level object lacks a `sections` array"));
         return errs;
     };
+    let host = doc.get("host");
+    if !host.and_then(|h| h.get("nproc")).and_then(Json::as_num).is_some_and(|n| n > 0.0) {
+        errs.push(Violation::doc("`host` block lacks a positive `nproc`"));
+    }
+    for key in ["build_profile", "scale"] {
+        if host.and_then(|h| h.get(key)).and_then(Json::as_str).is_none() {
+            errs.push(Violation::doc(format!("`host` block lacks a `{key}` string")));
+        }
+    }
     for (name, floor) in FLOORS {
         let Some(sec) =
             sections.iter().find(|s| s.get("name").and_then(Json::as_str) == Some(name))
@@ -166,6 +182,20 @@ fn validate_kernel(doc: &Json) -> Vec<Violation> {
                 }),
                 None => errs.push(Violation::section(name, format!("missing numeric `{key}`"))),
             }
+        }
+        let handoffs: Option<f64> = ["handoffs", "self_handoffs"]
+            .into_iter()
+            .map(|key| sec.get(key).and_then(Json::as_num))
+            .sum();
+        match handoffs {
+            None => {
+                errs.push(Violation::section(name, "missing numeric `handoffs`/`self_handoffs`"))
+            }
+            Some(n) if n <= 0.0 && name != WHEEL_ONLY => errs.push(Violation {
+                observed: Some(n),
+                ..Violation::section(name, "no run-token handoffs recorded through the kernel")
+            }),
+            Some(_) => {}
         }
         if let Some(rate) = sec.get("events_per_s").and_then(Json::as_num) {
             if rate < floor {
@@ -464,13 +494,17 @@ mod tests {
             .map(|(name, _)| {
                 format!(
                     "{{\"name\": \"{name}\", \"work\": 1000, \"work_unit\": \"x\", \
-                     \"events\": 1000, \"elapsed_s\": 0.001, \"events_per_s\": {rate}}}"
+                     \"events\": 1000, \"elapsed_s\": 0.001, \"events_per_s\": {rate}, \
+                     \"handoffs\": 10, \"self_handoffs\": 5}}"
                 )
             })
             .collect::<Vec<_>>()
             .join(",");
-        format!("{{\"bench\": \"kernel\", \"scale\": \"quick\", \"sections\": [{sections}]}}")
+        format!("{{\"bench\": \"kernel\", {HOST}, \"sections\": [{sections}]}}")
     }
+
+    const HOST: &str =
+        "\"host\": {\"nproc\": 2, \"build_profile\": \"release\", \"scale\": \"quick\"}";
 
     #[test]
     fn accepts_a_healthy_report() {
@@ -490,8 +524,29 @@ mod tests {
     }
 
     #[test]
+    fn rejects_a_report_without_host_or_handoffs() {
+        let src = doc(50_000_000.0).replace(HOST, "\"scale\": \"quick\"");
+        let errs = validate(&parse(&src).unwrap());
+        assert_eq!(errs.len(), 3, "{:?}", humans(&errs));
+        assert!(errs.iter().all(|e| e.section.is_empty() && e.msg.contains("`host` block")));
+        // Zero handoffs is only plausible for the wheel-only section.
+        let src = doc(50_000_000.0).replace(
+            "\"handoffs\": 10, \"self_handoffs\": 5",
+            "\"handoffs\": 0, \"self_handoffs\": 0",
+        );
+        let errs = validate(&parse(&src).unwrap());
+        assert_eq!(errs.len(), FLOORS.len() - 1, "{:?}", humans(&errs));
+        assert!(errs.iter().all(|e| e.section != WHEEL_ONLY && e.msg.contains("handoffs")));
+        let src = doc(50_000_000.0).replacen("\"self_handoffs\": 5", "\"self\": 5", 1);
+        let errs = validate(&parse(&src).unwrap());
+        assert_eq!(errs.len(), 1, "{:?}", humans(&errs));
+        assert!(errs[0].msg.contains("missing numeric `handoffs`/`self_handoffs`"));
+    }
+
+    #[test]
     fn rejects_missing_sections_and_fields() {
-        let errs = validate(&parse("{\"bench\": \"kernel\", \"sections\": []}").unwrap());
+        let src = format!("{{\"bench\": \"kernel\", {HOST}, \"sections\": []}}");
+        let errs = validate(&parse(&src).unwrap());
         assert_eq!(errs.len(), FLOORS.len());
         let src = "{\"bench\": \"elastic\", \"sections\": [{\"name\": \"wheel_raw\", \
                     \"events_per_s\": 1e9}]}";

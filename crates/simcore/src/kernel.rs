@@ -1,10 +1,18 @@
 //! The discrete-event simulation kernel.
 //!
-//! Every simulated process runs on its own OS thread, but the kernel hands
-//! out a single *run token*: exactly one process (or the kernel itself)
-//! executes at any moment. Blocking operations — [`Ctx::sleep`],
-//! [`Ctx::recv`], [`Ctx::call`] — park the calling thread and return the
-//! token to the kernel, which advances the virtual clock to the next event.
+//! Every simulated process runs on its own OS thread, but a single *run
+//! token* (the baton) says which thread may execute: exactly one process,
+//! or the [`Sim::run_until_idle`] caller, at any moment. There is no
+//! kernel thread. A process that blocks — [`Ctx::sleep`], [`Ctx::recv`],
+//! [`Ctx::call`], [`Ctx::park`] — or exits runs the scheduling step itself,
+//! under the kernel lock it already holds: pick the next runnable process,
+//! or advance the virtual clock to the next event and fire it, until some
+//! process can run. If the step picks the blocking process itself (a sleep
+//! with nothing else due, a reply that is already due) it simply returns
+//! and no thread switch happens; otherwise it opens the picked process's
+//! gate and parks on its own. When nothing is left to run, the token goes
+//! home to the `Sim::run_*` caller, which only starts the first step and
+//! reports the [`RunOutcome`].
 //!
 //! Because only one process runs at a time and ties are broken by event
 //! sequence numbers, a simulation is **fully deterministic** for a given
@@ -18,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -185,12 +193,12 @@ const STALL_LIMIT: Duration = Duration::from_secs(60);
 /// Whether firing this event can directly hand progress to a non-daemon
 /// process: a wake for a live non-daemon (sleep or recv timeout), or a
 /// delivery to a mailbox a non-daemon is blocked on. Such events are
-/// exempt from the stall cutoff in `run_inner` — a client sleeping for an
-/// hour is idle, not wedged.
+/// exempt from the stall cutoff in [`KernelState::step`] — a client
+/// sleeping for an hour is idle, not wedged.
 ///
 /// A free function over the individual tables (rather than a
-/// `KernelState` method) so `run_inner` can consult it while the event
-/// queue is borrowed by `peek`.
+/// `KernelState` method) so `step` can consult it while the event queue
+/// is borrowed by `peek`.
 fn event_can_progress(
     procs: &HashMap<u64, ProcSlot>,
     mailboxes: &HashMap<u64, MailboxState>,
@@ -217,10 +225,12 @@ enum RunCmd {
     Exit,
 }
 
+/// Where a parked thread waits for the baton: a process thread, or the
+/// `Sim::run_*` caller (the baton's home at start and at quiescence).
 struct ProcGate {
     cmd: Mutex<RunCmd>,
     cv: Condvar,
-    /// Whether this process currently holds the run token.
+    /// Whether this thread holds the run token (set on each wakeup).
     held: AtomicBool,
 }
 
@@ -233,8 +243,8 @@ impl ProcGate {
         })
     }
 
-    /// Blocks until the kernel grants the token (`Run`) or requests
-    /// termination (`Exit`).
+    /// Blocks until the token is passed here (`Run`) or termination is
+    /// requested (`Exit`).
     fn wait_for_run(&self) -> RunCmd {
         let mut cmd = self.cmd.lock();
         while *cmd == RunCmd::Park {
@@ -243,8 +253,8 @@ impl ProcGate {
         let got = *cmd;
         if got == RunCmd::Run {
             *cmd = RunCmd::Park;
-            self.held.store(true, Ordering::SeqCst);
         }
+        self.held.store(got == RunCmd::Run, Ordering::SeqCst);
         got
     }
 
@@ -252,27 +262,6 @@ impl ProcGate {
         let mut cmd = self.cmd.lock();
         *cmd = c;
         self.cv.notify_one();
-    }
-}
-
-struct KernelGate {
-    flag: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl KernelGate {
-    fn signal(&self) {
-        let mut f = self.flag.lock();
-        *f = true;
-        self.cv.notify_one();
-    }
-
-    fn wait(&self) {
-        let mut f = self.flag.lock();
-        while !*f {
-            self.cv.wait(&mut f);
-        }
-        *f = false;
     }
 }
 
@@ -341,8 +330,14 @@ pub(crate) struct KernelState {
     /// name)`), maintained by [`Ctx::resource_acquired`] and friends.
     holders: HashMap<u64, (Pid, String)>,
     /// Virtual time a non-daemon process last received the run token; the
-    /// stall detector in `run_inner` keys off this.
+    /// stall detector in `step` keys off this.
     last_nondaemon_run: SimTime,
+    /// Where the current `Sim::run_*` call stops (`None`: run until idle).
+    deadline: Option<SimTime>,
+    /// Run-token passes from one process thread to another.
+    handoffs: u64,
+    /// Steps that picked the blocking process itself (no thread switch).
+    self_handoffs: u64,
     /// Span collector, if observability is enabled ([`Sim::set_tracer`]).
     /// `None` makes every `Ctx::span_*` call a no-op.
     tracer: Option<Tracer>,
@@ -376,11 +371,63 @@ impl KernelState {
             0 => None,
             1 => self.runnable.pop_front(),
             n => {
-                let snapshot: Vec<Pid> = self.runnable.iter().copied().collect();
-                let idx = self.scheduler.pick(&snapshot).min(n - 1);
+                let idx = self.scheduler.pick(self.runnable.make_contiguous()).min(n - 1);
                 self.decisions.push(Decision { options: n as u32, choice: idx as u32 });
                 self.runnable.remove(idx)
             }
+        }
+    }
+
+    /// One scheduling step, run by whichever thread holds the run token
+    /// when it blocks or exits: picks the next process to run, firing due
+    /// events until one is runnable. Killed processes are told to unwind
+    /// instead of running. `None` means quiescence — nothing can run before
+    /// the deadline, or a process panicked — and the token goes home.
+    ///
+    /// Without a deadline, events stop once every non-daemon process has
+    /// exited: the remaining ones belong to long-lived services
+    /// (heartbeats, pollers) that would otherwise tick forever. The stall
+    /// bound covers the deadlocked-but-daemons-keep-ticking case: if no
+    /// non-daemon has run for that long in virtual time, the survivors are
+    /// wedged and firing more daemon timers can never free them.
+    fn step(&mut self) -> Option<Pid> {
+        loop {
+            if self.panic.is_some() {
+                return None;
+            }
+            if let Some(pid) = self.pick_runnable() {
+                let Some(p) = self.procs.get_mut(&pid.0) else { continue };
+                if p.blocked == BlockState::Exited {
+                    continue;
+                }
+                if p.killed {
+                    p.gate.set(RunCmd::Exit);
+                    self.proc_exited(pid);
+                    continue;
+                }
+                if !p.daemon {
+                    self.last_nondaemon_run = self.now;
+                }
+                return Some(pid);
+            }
+            let fire = match self.events.peek() {
+                Some((time, _, kind)) => match self.deadline {
+                    Some(d) => time <= d,
+                    None => {
+                        self.live_nondaemon > 0
+                            && (time <= self.last_nondaemon_run + STALL_LIMIT
+                                || event_can_progress(&self.procs, &self.mailboxes, kind))
+                    }
+                },
+                None => false,
+            };
+            if !fire {
+                return None;
+            }
+            let (time, _, kind) = self.events.pop().expect("peeked event");
+            debug_assert!(time >= self.now, "event in the past");
+            self.now = time;
+            self.apply_event(kind);
         }
     }
 
@@ -467,13 +514,34 @@ impl KernelState {
 
 pub(crate) struct Kernel {
     state: Mutex<KernelState>,
-    kernel_gate: KernelGate,
+    /// The `Sim::run_*` caller's gate.
+    home: Arc<ProcGate>,
     seed: u64,
 }
 
 impl Kernel {
-    fn signal_kernel(&self) {
-        self.kernel_gate.signal();
+    /// Runs a scheduling step for the token holder `me` (`None`: the
+    /// `Sim::run_*` caller) and passes the token to whoever it picked.
+    /// Returns `true` when the holder keeps the token: the step picked `me`
+    /// itself, or found nothing to run while the token was already home.
+    fn pass_baton(&self, mut st: MutexGuard<'_, KernelState>, me: Option<Pid>) -> bool {
+        let gate = match st.step() {
+            Some(pid) if Some(pid) == me => {
+                st.self_handoffs += 1;
+                return true;
+            }
+            Some(pid) => {
+                if me.is_some() {
+                    st.handoffs += 1;
+                }
+                st.procs[&pid.0].gate.clone()
+            }
+            None if me.is_none() => return true,
+            None => self.home.clone(),
+        };
+        drop(st);
+        gate.set(RunCmd::Run);
+        false
     }
 }
 
@@ -574,10 +642,13 @@ impl Sim {
                     decisions: Vec::new(),
                     holders: HashMap::new(),
                     last_nondaemon_run: SimTime::ZERO,
+                    deadline: None,
+                    handoffs: 0,
+                    self_handoffs: 0,
                     tracer: None,
                     metrics: None,
                 }),
-                kernel_gate: KernelGate { flag: Mutex::new(false), cv: Condvar::new() },
+                home: ProcGate::new(),
                 seed,
             }),
         }
@@ -588,11 +659,16 @@ impl Sim {
         self.kernel.seed
     }
 
-    /// Allocation and occupancy accounting for the kernel event queue.
-    /// Used by the zero-allocation assertions in tests and the kernel
-    /// bench report.
+    /// Allocation and occupancy accounting for the kernel event queue,
+    /// plus the run-token handoff counts. Used by the zero-allocation
+    /// assertions in tests and the kernel bench report.
     pub fn event_queue_stats(&self) -> EventQueueStats {
-        self.kernel.state.lock().events.stats()
+        let st = self.kernel.state.lock();
+        EventQueueStats {
+            handoffs: st.handoffs,
+            self_handoffs: st.self_handoffs,
+            ..st.events.stats()
+        }
     }
 
     /// Installs a span collector: from now on `Ctx::span_begin` and friends
@@ -701,86 +777,33 @@ impl Sim {
         self.run_until(t)
     }
 
+    /// Kicks off the first scheduling step, waits for the token to come
+    /// home, and reports.
     fn run_inner(&mut self, deadline: Option<SimTime>) -> RunOutcome {
-        loop {
-            if let Some(p) = self.kernel.state.lock().panic.take() {
-                resume_unwind(p);
-            }
-            // Run every currently runnable process to its next block point.
-            let next = self.kernel.state.lock().pick_runnable();
-            if let Some(pid) = next {
-                self.run_process(pid);
-                continue;
-            }
-            // Advance to the next event. Without a deadline, stop once
-            // every non-daemon process has exited: the remaining events
-            // belong to long-lived services (heartbeats, pollers) that
-            // would otherwise tick forever. The stall bound covers the
-            // deadlocked-but-daemons-keep-ticking case: if no non-daemon
-            // has run for that long in virtual time, the survivors are
-            // wedged and firing more daemon timers can never free them.
-            let mut st = self.kernel.state.lock();
-            let st = &mut *st;
-            let fire = match st.events.peek() {
-                Some((time, _, kind)) => match deadline {
-                    Some(d) => time <= d,
-                    None => {
-                        st.live_nondaemon > 0
-                            && (time <= st.last_nondaemon_run + STALL_LIMIT
-                                || event_can_progress(&st.procs, &st.mailboxes, kind))
-                    }
-                },
-                None => false,
-            };
-            if fire {
-                let (time, _, kind) = st.events.pop().expect("peeked event");
-                debug_assert!(time >= st.now, "event in the past");
-                st.now = time;
-                st.apply_event(kind);
-            } else {
-                if let Some(d) = deadline {
-                    if st.now < d {
-                        st.now = d;
-                    }
-                }
-                let blocked = st
-                    .procs
-                    .values()
-                    .filter(|p| {
-                        !p.daemon
-                            && p.blocked != BlockState::Exited
-                            && p.blocked != BlockState::Runnable
-                    })
-                    .map(|p| p.name.clone())
-                    .collect();
-                return RunOutcome { time: st.now, blocked };
+        let mut st = self.kernel.state.lock();
+        st.deadline = deadline;
+        if !self.kernel.pass_baton(st, None) {
+            self.kernel.home.wait_for_run();
+        }
+        let mut st = self.kernel.state.lock();
+        if let Some(p) = st.panic.take() {
+            drop(st);
+            resume_unwind(p);
+        }
+        if let Some(d) = deadline {
+            if st.now < d {
+                st.now = d;
             }
         }
-    }
-
-    fn run_process(&self, pid: Pid) {
-        let gate = {
-            let mut st = self.kernel.state.lock();
-            let (gate, daemon) = match st.procs.get_mut(&pid.0) {
-                Some(p) if p.blocked != BlockState::Exited => {
-                    if p.killed {
-                        // Tell the thread to unwind; it does not take the
-                        // token, so the kernel keeps running.
-                        p.gate.set(RunCmd::Exit);
-                        st.proc_exited(pid);
-                        return;
-                    }
-                    (p.gate.clone(), p.daemon)
-                }
-                _ => return,
-            };
-            if !daemon {
-                st.last_nondaemon_run = st.now;
-            }
-            gate
-        };
-        gate.set(RunCmd::Run);
-        self.kernel.kernel_gate.wait();
+        let blocked = st
+            .procs
+            .values()
+            .filter(|p| {
+                !p.daemon && p.blocked != BlockState::Exited && p.blocked != BlockState::Runnable
+            })
+            .map(|p| p.name.clone())
+            .collect();
+        RunOutcome { time: st.now, blocked }
     }
 
     /// Marks a process for termination. If it is blocked it unwinds without
@@ -857,11 +880,12 @@ fn kill_process(kernel: &Arc<Kernel>, pid: Pid) {
         p.killed = true;
         match p.blocked {
             BlockState::Runnable => {
-                // Handled when the kernel pops it from the runnable queue.
+                // Handled when a scheduling step pops it from the runnable
+                // queue.
             }
             _ => {
                 // Blocked: wake it with Exit. It unwinds without taking the
-                // token, so it must not signal the kernel.
+                // token, so it must not pass the token on.
                 p.gate.set(RunCmd::Exit);
                 st.proc_exited(pid);
             }
@@ -906,22 +930,15 @@ where
                 trace_ctx: TraceCtx::root(),
             };
             let result = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-            let held = thread_gate.held.load(Ordering::SeqCst);
-            {
-                let mut st = thread_kernel.state.lock();
-                match result {
-                    Ok(()) => {}
-                    Err(p) => {
-                        if !p.is::<ShutdownSignal>() {
-                            st.panic = Some(p);
-                        }
-                    }
+            let mut st = thread_kernel.state.lock();
+            if let Err(p) = result {
+                if !p.is::<ShutdownSignal>() {
+                    st.panic = Some(p);
                 }
-                st.proc_exited(pid);
             }
-            if held {
-                thread_gate.held.store(false, Ordering::SeqCst);
-                thread_kernel.signal_kernel();
+            st.proc_exited(pid);
+            if thread_gate.held.load(Ordering::SeqCst) {
+                thread_kernel.pass_baton(st, Some(pid));
             }
         })
         .expect("failed to spawn simulation thread");
@@ -957,8 +974,9 @@ where
 
 /// The execution context handed to every simulated process.
 ///
-/// All methods that block (`sleep`, `recv`, `call`, `park`) release the run
-/// token to the kernel and resume when the corresponding event fires.
+/// All methods that block (`sleep`, `recv`, `call`, `park`) run a
+/// scheduling step that passes the run token on, and resume when the
+/// corresponding event fires.
 pub struct Ctx {
     kernel: Arc<Kernel>,
     pid: Pid,
@@ -1119,9 +1137,13 @@ impl Ctx {
         }
     }
 
-    fn yield_to_kernel(&mut self) {
-        self.gate.held.store(false, Ordering::SeqCst);
-        self.kernel.signal_kernel();
+    /// Blocks this process (its block state is already recorded under
+    /// `st`): passes the run token on and waits until it comes back, or
+    /// returns at once if the scheduling step picked this process again.
+    fn yield_to_kernel(&self, st: MutexGuard<'_, KernelState>) {
+        if self.kernel.pass_baton(st, Some(self.pid)) {
+            return;
+        }
         match self.gate.wait_for_run() {
             RunCmd::Run => {}
             // resume_unwind skips the panic hook: shutdown is not an error.
@@ -1131,16 +1153,14 @@ impl Ctx {
 
     /// Advances this process's clock by `d` (e.g. network or think time).
     pub fn sleep(&mut self, d: Duration) {
-        {
-            let mut st = self.kernel.state.lock();
-            let now = st.now;
-            let p = st.procs.get_mut(&self.pid.0).expect("own slot");
-            p.epoch += 1;
-            let epoch = p.epoch;
-            p.blocked = BlockState::Sleeping;
-            st.push_event(now + d, EventKind::Wake { pid: self.pid, epoch });
-        }
-        self.yield_to_kernel();
+        let mut st = self.kernel.state.lock();
+        let now = st.now;
+        let p = st.procs.get_mut(&self.pid.0).expect("own slot");
+        p.epoch += 1;
+        let epoch = p.epoch;
+        p.blocked = BlockState::Sleeping;
+        st.push_event(now + d, EventKind::Wake { pid: self.pid, epoch });
+        self.yield_to_kernel(st);
     }
 
     /// Models CPU work taking `d` of virtual time.
@@ -1187,10 +1207,10 @@ impl Ctx {
     /// receiving on it.
     pub fn recv(&mut self, mb: Addr) -> Msg {
         loop {
-            if let Some(m) = self.try_begin_recv(mb, None) {
-                return m;
+            match self.try_begin_recv(mb, None) {
+                Ok(m) => return m,
+                Err(st) => self.yield_to_kernel(st),
             }
-            self.yield_to_kernel();
             let mut st = self.kernel.state.lock();
             let p = st.procs.get_mut(&self.pid.0).expect("own slot");
             if let Some(m) = p.delivered.take() {
@@ -1203,10 +1223,10 @@ impl Ctx {
 
     /// Receives with a timeout; `None` means the timeout expired first.
     pub fn recv_timeout(&mut self, mb: Addr, timeout: Duration) -> Option<Msg> {
-        if let Some(m) = self.try_begin_recv(mb, Some(timeout)) {
-            return Some(m);
+        match self.try_begin_recv(mb, Some(timeout)) {
+            Ok(m) => return Some(m),
+            Err(st) => self.yield_to_kernel(st),
         }
-        self.yield_to_kernel();
         let mut st = self.kernel.state.lock();
         let p = st.procs.get_mut(&self.pid.0).expect("own slot");
         if let Some(m) = p.delivered.take() {
@@ -1222,8 +1242,13 @@ impl Ctx {
     }
 
     /// If a message is queued, returns it; otherwise registers this process
-    /// as the waiter (with an optional timeout event) and returns `None`.
-    fn try_begin_recv(&mut self, mb: Addr, timeout: Option<Duration>) -> Option<Msg> {
+    /// as the waiter (with an optional timeout event) and returns the still
+    /// held kernel lock, for the blocking step.
+    fn try_begin_recv(
+        &self,
+        mb: Addr,
+        timeout: Option<Duration>,
+    ) -> Result<Msg, MutexGuard<'_, KernelState>> {
         let mut st = self.kernel.state.lock();
         let now = st.now;
         let q = st
@@ -1232,7 +1257,7 @@ impl Ctx {
             .unwrap_or_else(|| panic!("recv on unknown mailbox {:?}", mb));
         assert!(!q.closed, "recv on closed mailbox {} ({:?})", q.name, mb);
         if let Some(m) = q.queue.pop_front() {
-            return Some(m);
+            return Ok(m);
         }
         assert!(q.waiting.is_none(), "mailbox {} already has a waiting receiver", q.name);
         q.waiting = Some(self.pid);
@@ -1243,7 +1268,7 @@ impl Ctx {
         if let Some(t) = timeout {
             st.push_event(now + t, EventKind::Wake { pid: self.pid, epoch });
         }
-        None
+        Err(st)
     }
 
     /// Returns a queued message without blocking, if any.
@@ -1440,18 +1465,16 @@ impl Ctx {
     /// Blocks until another process calls [`Ctx::unpark`] with this pid.
     /// A pending permit (unpark before park) is consumed immediately.
     pub fn park(&mut self) {
-        {
-            let mut st = self.kernel.state.lock();
-            let p = st.procs.get_mut(&self.pid.0).expect("own slot");
-            if p.park_permit {
-                p.park_permit = false;
-                p.waiting_on = None;
-                return;
-            }
-            p.epoch += 1;
-            p.blocked = BlockState::Parked;
+        let mut st = self.kernel.state.lock();
+        let p = st.procs.get_mut(&self.pid.0).expect("own slot");
+        if p.park_permit {
+            p.park_permit = false;
+            p.waiting_on = None;
+            return;
         }
-        self.yield_to_kernel();
+        p.epoch += 1;
+        p.blocked = BlockState::Parked;
+        self.yield_to_kernel(st);
     }
 
     /// Makes a parked process runnable, or stores a permit if it is not
@@ -1779,6 +1802,119 @@ mod tests {
             assert_eq!(sum, N * (N - 1) / 2);
         });
         sim.run_until_idle().expect_quiescent();
+    }
+
+    #[test]
+    fn lone_sleeper_keeps_the_baton() {
+        let mut sim = Sim::new(1);
+        sim.spawn("sleeper", |ctx| {
+            for _ in 0..1_000 {
+                ctx.sleep(Duration::from_micros(3));
+            }
+        });
+        sim.run_until_idle().expect_quiescent();
+        let stats = sim.event_queue_stats();
+        assert_eq!((stats.self_handoffs, stats.handoffs), (1_000, 0));
+    }
+
+    #[test]
+    fn panic_on_a_process_held_baton_surfaces() {
+        let mut sim = Sim::new(1);
+        let mb = sim.mailbox("mb");
+        sim.spawn("rx", move |ctx| {
+            ctx.recv(mb);
+            panic!("boom on a passed baton");
+        });
+        sim.spawn("tx", move |ctx| {
+            ctx.send(mb, Msg::new(()), Duration::from_millis(1));
+            ctx.sleep(Duration::from_millis(5));
+        });
+        let err = catch_unwind(AssertUnwindSafe(|| sim.run_until_idle())).expect_err("panics");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"boom on a passed baton"));
+        // `tx`'s step passed the baton straight to `rx`, not via a kernel.
+        assert!(sim.event_queue_stats().handoffs > 0);
+    }
+
+    #[test]
+    fn killed_runnable_process_unwinds_without_running() {
+        struct Unwound(Arc<AtomicBool>);
+        impl Drop for Unwound {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let mut sim = Sim::new(1);
+        let ran = Arc::new(AtomicBool::new(false));
+        let unwound = Arc::new(AtomicBool::new(false));
+        let (ran2, unwound2) = (ran.clone(), unwound.clone());
+        let victim = sim.spawn("victim", move |ctx| {
+            let _guard = Unwound(unwound2);
+            ctx.park();
+            ran2.store(true, Ordering::SeqCst);
+        });
+        sim.spawn("killer", move |ctx| {
+            ctx.unpark(victim); // runnable again...
+            ctx.kill(victim); // ...but killed before anyone picks it
+            ctx.sleep(Duration::from_millis(1)); // this step picks the victim
+        });
+        sim.run_until_idle().expect_quiescent();
+        assert_eq!(sim.live_processes(), 0);
+        drop(sim); // joins the victim's thread
+        assert!(unwound.load(Ordering::SeqCst), "victim unwound");
+        assert!(!ran.load(Ordering::SeqCst), "victim never ran after the kill");
+    }
+
+    #[test]
+    fn split_run_matches_one_run() {
+        use crate::scheduler::RandomScheduler;
+        fn run(split: Option<SimTime>) -> (SimTime, Vec<Decision>) {
+            let mut sim = Sim::with_scheduler(5, Box::new(RandomScheduler::new(5)));
+            let mb = sim.mailbox("sink");
+            for i in 0..4u64 {
+                sim.spawn(&format!("w{i}"), move |ctx| {
+                    for _ in 0..20 {
+                        ctx.sleep(Duration::from_micros(10));
+                        ctx.send(mb, Msg::new(i), Duration::from_micros(1 + i % 2));
+                    }
+                });
+            }
+            sim.spawn("sink", move |ctx| {
+                for _ in 0..80 {
+                    ctx.recv(mb);
+                }
+            });
+            if let Some(t) = split {
+                sim.run_until(t);
+            }
+            let out = sim.run_until_idle();
+            out.expect_quiescent();
+            (out.time, sim.decision_trace())
+        }
+        let whole = run(None);
+        assert!(!whole.1.is_empty(), "the workload makes contended picks");
+        assert_eq!(run(Some(SimTime::from_nanos(55_000))), whole);
+    }
+
+    #[test]
+    fn dropping_a_sim_joins_parked_threads() {
+        let mut sim = Sim::new(1);
+        let alive = Arc::new(());
+        for i in 0..4 {
+            let alive = alive.clone();
+            sim.spawn(&format!("p{i}"), move |ctx| {
+                let _alive = alive;
+                if i % 2 == 0 {
+                    ctx.sleep(Duration::from_secs(3_600));
+                } else {
+                    let never = ctx.mailbox("never");
+                    ctx.recv(never);
+                }
+            });
+        }
+        let out = sim.run_until(SimTime::from_secs(1));
+        assert_eq!(out.blocked.len(), 4);
+        drop(sim);
+        assert_eq!(Arc::strong_count(&alive), 1, "every process thread was joined");
     }
 
     #[test]

@@ -104,6 +104,13 @@ pub struct EventQueueStats {
     pub len: usize,
     /// Events parked in the far-future overflow heap.
     pub overflow_len: usize,
+    /// Run-token passes from one process thread to another, each a host
+    /// thread switch (filled in by `Sim::event_queue_stats`; the kick-off
+    /// from and return to the `Sim::run_*` caller are not counted).
+    pub handoffs: u64,
+    /// Scheduling steps that picked the blocking process itself, so it
+    /// kept running with no thread switch (filled in by the kernel).
+    pub self_handoffs: u64,
 }
 
 /// A hierarchical timing wheel delivering `(time, seq, payload)` entries
@@ -157,6 +164,8 @@ impl<T> TimingWheel<T> {
             capacity: self.slab.capacity(),
             len: self.len,
             overflow_len: self.overflow.len(),
+            handoffs: 0,
+            self_handoffs: 0,
         }
     }
 
