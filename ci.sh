@@ -8,14 +8,14 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 
-# Correctness tooling (crates/simcheck): the line-level determinism lint,
-# the interprocedural analyzer (determinism taint, readonly purity, wait
-# annotation coverage — zero findings required; also refreshes the
-# proven-pure report consumed via DsoConfig::pure_methods), then the DSO
-# cluster smoke workload under 25 perturbed schedules with linearizability
-# checked on each (see DESIGN.md, "Correctness tooling" / "Static
-# analysis").
-cargo run --release -q -p simcheck --bin simlint
+# Correctness tooling (crates/simcheck): the single static analyzer —
+# line-local convention rules (wall-clock, native-thread, no-panic,
+# serde-derive, trace-time, bad-allow), determinism taint, readonly
+# purity and wait-annotation coverage; zero findings required, and the
+# run refreshes the proven-pure report consumed via
+# DsoConfig::pure_methods — then the DSO cluster smoke workload under 25
+# perturbed schedules with linearizability checked on each (see
+# DESIGN.md, "Correctness tooling" / "Static analysis").
 cargo run --release -q -p simcheck --bin simanalyze -- --readonly-report results/pure_methods.txt
 cargo run --release -q -p simcheck --bin simexplore -- --seeds 25
 

@@ -216,10 +216,11 @@ pub(crate) fn replay(
 }
 
 /// Recovers the durability store's contents into the (running) cluster
-/// behind `cli`: scan with read repair, then replay. This is the
-/// restore-into-fresh-cluster half of the old passivation API; a full
-/// crash restart — which also rebuilds the cluster and bumps the write
-/// generation — is [`crate::DsoCluster::recover_from`].
+/// behind `cli`: scan with read repair, then replay. Paired with
+/// [`crate::checkpoint`] it restores a dataset into a cluster of any size
+/// (§4.1's passivation to stable storage). A full crash restart, which
+/// also rebuilds the cluster and bumps the write generation, is
+/// [`crate::DsoCluster::recover_from`].
 ///
 /// # Errors
 ///

@@ -61,7 +61,6 @@ mod membership;
 mod node_cache;
 mod object;
 pub mod objects;
-pub mod passivation;
 pub mod protocol;
 pub mod read_policy;
 mod ring;

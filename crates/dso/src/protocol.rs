@@ -259,9 +259,9 @@ pub struct DrainNode;
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct GetView;
 
-/// RPC to a storage node: dump every locally-stored object (passivation,
-/// §4.1: objects "can be passivated to stable storage using standard
-/// mechanisms").
+/// RPC to a storage node: dump every locally-stored object for a
+/// checkpoint (§4.1: objects "can be passivated to stable storage using
+/// standard mechanisms").
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct SnapshotAll;
 

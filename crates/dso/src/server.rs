@@ -569,7 +569,7 @@ fn wal_log(shared: &Arc<NodeShared>, obj: &ObjectRef, stored: &Stored, req: &Inv
     true
 }
 
-/// Marshals every locally-stored object (the passivation dump).
+/// Marshals every locally-stored object (the checkpoint dump).
 fn snapshot_all(shared: &Arc<NodeShared>) -> Vec<crate::protocol::ObjectRecord> {
     let objects = shared.objects.lock();
     let mut records: Vec<crate::protocol::ObjectRecord> = objects

@@ -12,8 +12,8 @@ use simcore::{LatencyModel, Sim, Tracer};
 
 use cloudstore::{spawn_s3, S3Config};
 use dso::{
-    api, checkpoint, DsoCluster, DsoConfig, DurabilityConfig, DurabilityLevel, DurabilityStore,
-    ObjectRegistry, RecoveryReport,
+    api, checkpoint, recover_into, DsoCluster, DsoConfig, DurabilityConfig, DurabilityLevel,
+    DurabilityStore, ObjectRegistry, RecoveryReport,
 };
 
 /// A Sync-durability config over a fresh store on `s3`.
@@ -341,4 +341,104 @@ fn acknowledged_writes_are_conserved_across_explored_crash_schedules() {
         })
     };
     explore_seeds(0, 25, scenario).expect_clean();
+}
+
+/// A log-less store config: a checkpoint without a WAL is a one-shot
+/// passivation of the whole dataset (§4.1).
+fn snapshot_store(s3: &cloudstore::S3Handle, prefix: &str) -> DurabilityConfig {
+    DurabilityConfig::new(DurabilityStore::new(s3.clone(), prefix))
+}
+
+fn immediate_s3() -> S3Config {
+    S3Config { visibility_delay: LatencyModel::fixed(Duration::ZERO), ..S3Config::default() }
+}
+
+#[test]
+fn checkpoint_then_recover_into_a_differently_sized_cluster() {
+    let mut sim = Sim::new(51);
+    let s3 = spawn_s3(&sim, immediate_s3());
+    let a = DsoCluster::start(&sim, 2, DsoConfig::default(), ObjectRegistry::with_builtins());
+    let b = DsoCluster::start(&sim, 3, DsoConfig::default(), ObjectRegistry::with_builtins());
+    let (ha, hb) = (a.client_handle(), b.client_handle());
+    let ok = Arc::new(Mutex::new(false));
+    let ok2 = ok.clone();
+    sim.spawn("operator", move |ctx| {
+        let counter = |i: usize| {
+            if i.is_multiple_of(2) {
+                api::AtomicLong::new(&format!("c{i}"))
+            } else {
+                api::AtomicLong::persistent(&format!("c{i}"), 0, 2)
+            }
+        };
+        let d = snapshot_store(&s3, "backup");
+        let mut ca = ha.connect();
+        // Populate cluster A with a mix of plain and replicated objects.
+        for i in 0..12 {
+            counter(i).set(ctx, &mut ca, 100 + i as i64).expect("write");
+        }
+        let report = checkpoint(ctx, &mut ca, &d).expect("checkpoint");
+        assert_eq!(report.objects, 12);
+        assert_eq!(report.nodes, 2);
+        assert!(report.bytes > 0);
+        // Restore into the *differently sized* cluster B.
+        let mut cb = hb.connect();
+        let restored = recover_into(ctx, &mut cb, &d).expect("recover");
+        assert_eq!(restored.objects, 12);
+        for i in 0..12 {
+            assert_eq!(counter(i).get(ctx, &mut cb).expect("read"), 100 + i as i64, "c{i}");
+        }
+        *ok2.lock() = true;
+    });
+    sim.run_until_idle().expect_quiescent();
+    assert!(*ok.lock());
+}
+
+#[test]
+fn recover_into_does_not_downgrade_newer_objects() {
+    let mut sim = Sim::new(52);
+    let s3 = spawn_s3(&sim, immediate_s3());
+    let cluster = DsoCluster::start(&sim, 2, DsoConfig::default(), ObjectRegistry::with_builtins());
+    let handle = cluster.client_handle();
+    let ok = Arc::new(Mutex::new(false));
+    let ok2 = ok.clone();
+    sim.spawn("operator", move |ctx| {
+        let d = snapshot_store(&s3, "snap");
+        let mut cli = handle.connect();
+        let c = api::AtomicLong::new("x");
+        c.set(ctx, &mut cli, 1).expect("write");
+        checkpoint(ctx, &mut cli, &d).expect("checkpoint");
+        // Mutate after the snapshot: many ops push the version ahead.
+        for _ in 0..5 {
+            c.increment_and_get(ctx, &mut cli).expect("bump");
+        }
+        let before = c.get(ctx, &mut cli).expect("read");
+        recover_into(ctx, &mut cli, &d).expect("recover");
+        let after = c.get(ctx, &mut cli).expect("read");
+        assert_eq!(after, before, "recovery must not roll back newer state");
+        *ok2.lock() = true;
+    });
+    sim.run_until_idle().expect_quiescent();
+    assert!(*ok.lock());
+}
+
+#[test]
+fn checkpoint_deduplicates_replicas() {
+    let mut sim = Sim::new(53);
+    let s3 = spawn_s3(&sim, immediate_s3());
+    let cluster = DsoCluster::start(&sim, 3, DsoConfig::default(), ObjectRegistry::with_builtins());
+    let handle = cluster.client_handle();
+    let ok = Arc::new(Mutex::new(false));
+    let ok2 = ok.clone();
+    sim.spawn("operator", move |ctx| {
+        let mut cli = handle.connect();
+        // rf = 3 on a 3-node cluster: every node holds a copy.
+        let c = api::AtomicLong::persistent("tripled", 0, 3);
+        c.set(ctx, &mut cli, 9).expect("write");
+        let report = checkpoint(ctx, &mut cli, &snapshot_store(&s3, "dedupe")).expect("checkpoint");
+        assert_eq!(report.objects, 1, "three replicas collapse to one record");
+        assert_eq!(report.nodes, 3);
+        *ok2.lock() = true;
+    });
+    sim.run_until_idle().expect_quiescent();
+    assert!(*ok.lock());
 }

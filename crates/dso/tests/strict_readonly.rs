@@ -11,9 +11,9 @@ use dso::{
 };
 
 /// A counter whose `peek` claims to be read-only but bumps the count —
-/// exactly the misdeclaration the simlint `readonly-mutation` rule catches
-/// statically; this test pins the runtime backstop for objects the linter
-/// cannot see (e.g. uploaded from outside the workspace).
+/// exactly the misdeclaration `simanalyze`'s `readonly-impure` pass
+/// catches statically; this test pins the runtime backstop for objects the
+/// analyzer cannot see (e.g. uploaded from outside the workspace).
 #[derive(Default)]
 struct Sneaky {
     count: i64,
@@ -32,7 +32,7 @@ impl SharedObject for Sneaky {
                 Effects::value(&self.count)
             }
             // Deliberate misdeclaration under test; integration tests are
-            // exempt from the readonly-mutation lint for exactly this.
+            // exempt from the readonly-impure pass for exactly this.
             "peek" => {
                 self.count += 1; // the lie: declared read-only below
                 Effects::value(&self.count)

@@ -372,24 +372,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_set_provisioned_still_prewarms() {
-        let mut sim = Sim::new(36);
-        let registry = simcore::MetricsRegistry::new();
-        sim.set_metrics(&registry);
-        let faas = spawn_platform(&sim, FaasConfig::default(), echo_registry());
-        let f2 = faas.clone();
-        sim.spawn("client", move |ctx| {
-            f2.set_provisioned(ctx, "echo", 2);
-            ctx.sleep(Duration::from_secs(3));
-            let _ = f2.invoke(ctx, "echo", vec![1]).expect("ok");
-        });
-        sim.run_until_idle().expect_quiescent();
-        assert_eq!(registry.counter_value("faas.prewarms"), 2);
-        assert_eq!(faas.billing().cold_starts(), 0);
-    }
-
-    #[test]
     fn failure_injection_fails_some_invocations() {
         let mut sim = Sim::new(6);
         let cfg = FaasConfig::builder().failure_rate(0.5).build().expect("valid");

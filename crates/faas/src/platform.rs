@@ -281,16 +281,6 @@ impl FaasHandle {
         result
     }
 
-    /// Sets the provisioned-concurrency floor for `function`: the platform
-    /// keeps at least `n` warm containers, booting the shortfall now (off
-    /// the request path) and exempting the floor from idle reclamation.
-    /// Fire-and-forget — the pre-warms complete asynchronously; watch the
-    /// `faas.pool_size` series for the effect.
-    #[deprecated(note = "use invoke_with with InvokeOpts::provision(n) and empty payloads")]
-    pub fn set_provisioned(&self, ctx: &mut Ctx, function: &str, n: u32) {
-        let _ = self.invoke_with(ctx, function, Vec::new(), InvokeOpts::provision(n));
-    }
-
     /// The shared billing ledger.
     pub fn billing(&self) -> &Billing {
         &self.billing

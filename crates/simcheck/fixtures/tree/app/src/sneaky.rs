@@ -1,5 +1,5 @@
 // Fixture: a method declared read-only that mutates. Expected findings:
-// readonly-mutation at the "peek" arm; the honest "get" arm is clean.
+// readonly-impure at the "peek" arm; the honest "get" arm is clean.
 
 impl SharedObject for Sneaky {
     fn invoke(&mut self, call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {

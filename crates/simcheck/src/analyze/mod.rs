@@ -1,33 +1,39 @@
-//! `simanalyze`: syntax-aware, interprocedural determinism and purity
-//! analysis over the whole workspace.
+//! `simanalyze`: the workspace's one static checker — token-local
+//! convention rules plus syntax-aware, interprocedural determinism and
+//! purity analysis.
 //!
-//! Three passes run on a [`Workspace`] built from the lexer/parser
+//! Four passes run on a [`Workspace`] built from the lexer/parser
 //! ([`crate::lex`], [`crate::syntax`]):
 //!
-//! 1. **Determinism taint** ([`taint`]) — values originating from
+//! 1. **Line rules** ([`lines`]) — conventions visible in one line of
+//!    code tokens: no wall-clock reads, no native threads outside the
+//!    kernel, no panics on the DSO path, serde derives on protocol types,
+//!    no host time in spans or metrics.
+//! 2. **Determinism taint** ([`taint`]) — values originating from
 //!    wall-clock reads, OS randomness or thread identity may not flow
 //!    (through locals, call returns or struct fields) into protocol
 //!    message types, trace/metric recording, or kernel time/messaging
 //!    primitives.
-//! 2. **Read-only purity** ([`purity`]) — every `SharedObject` method
+//! 3. **Read-only purity** ([`purity`]) — every `SharedObject` method
 //!    declared in `is_readonly` is checked to never mutate `self`,
 //!    directly or through helper methods, and to never reach interior
 //!    mutability. Clean methods are emitted as a machine-readable
 //!    [`PureReport`] the DSO runtime can consult to skip its
 //!    snapshot-compare verification.
-//! 3. **Wait-annotation coverage** ([`waits`]) — every indefinitely
+//! 4. **Wait-annotation coverage** ([`waits`]) — every indefinitely
 //!    blocking kernel primitive call (`ctx.park()`, untimed `ctx.call`)
 //!    must be reachable only through code that calls
 //!    `Ctx::annotate_wait`, so `deadlock_report()` wait-for graphs are
 //!    never silently incomplete.
 //!
 //! All passes honour `// simlint: allow(<rule>, reason = "...")`
-//! suppressions (rules `determinism-taint`, `readonly-impure`,
-//! `wait-annotation`; a reasoned `wall-clock` allow on a source line also
-//! stops taint from originating there). Test code (`#[cfg(test)]` mods,
-//! `#[test]` fns, `tests/` and `benches/` directories) is exempt, as are
-//! the kernel's own internals (`simcore/src/kernel.rs` — the determinism
-//! boundary itself) and vendored `compat/` shims.
+//! suppressions; a reasoned `wall-clock` allow on a source line also stops
+//! taint from originating there, and a malformed directive is itself a
+//! `bad-allow` finding. The interprocedural passes exempt test code
+//! (`#[cfg(test)]` mods, `#[test]` fns, `tests/` and `benches/`
+//! directories) and the kernel's own internals (`simcore/src/kernel.rs` —
+//! the determinism boundary itself); the line rules carry their own
+//! scopes. Vendored `compat/` shims are never read.
 //!
 //! The analysis is name-based and conservative-by-construction where it
 //! matters (any candidate callee tainting a call, any field of a name
@@ -35,6 +41,7 @@
 //! not a soundness proof: receiver types are resolved heuristically, so
 //! DESIGN.md §"Static analysis" documents the contract.
 
+pub mod lines;
 pub mod purity;
 pub mod taint;
 pub mod waits;
@@ -43,7 +50,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::Path;
 
 use crate::lex::TokKind;
-use crate::syntax::{match_close, FileAst, FnDef, StructDef};
+use crate::syntax::{match_close, FileAst, FnDef, SelfKind, StructDef};
 use crate::{Finding, Rule};
 
 /// Identifies one function: (file index, fn index within the file).
@@ -97,6 +104,8 @@ pub struct Workspace {
     pub nondet_marks: Vec<HashSet<usize>>,
     /// Per [`FnId`] (flattened): extracted call sites.
     calls: HashMap<FnId, Vec<CallSite>>,
+    /// `bad-allow` findings for malformed directives.
+    bad_allows: Vec<Finding>,
 }
 
 impl Workspace {
@@ -105,21 +114,14 @@ impl Workspace {
         let mut files = Vec::new();
         let mut allows = Vec::new();
         let mut nondet_marks = Vec::new();
+        let mut bad_allows = Vec::new();
         for (path, src) in sources {
             let ast = crate::syntax::parse_file(&path, &src);
-            let views = crate::lex::views(&ast.src, &ast.toks);
-            let comment_lines: Vec<&str> = views.comments.lines().collect();
-            // BadAllow findings are simlint's to report; discard here.
-            let mut sink = Vec::new();
-            allows.push(crate::parse_allows(&path, &comment_lines, &mut sink));
+            allows.push(parse_allows(&ast, &mut bad_allows));
             let marker_lines: HashSet<usize> = ast
-                .toks
-                .iter()
-                .filter(|t| {
-                    matches!(t.kind, TokKind::LineComment | TokKind::BlockComment)
-                        && t.text(&ast.src).contains("simanalyze: nondet_source")
-                })
-                .map(|t| t.line as usize)
+                .comment_lines()
+                .filter(|(_, text)| text.contains("simanalyze: nondet_source"))
+                .map(|(line, _)| line)
                 .collect();
             let marks: HashSet<usize> = ast
                 .fns
@@ -156,6 +158,7 @@ impl Workspace {
             protocol_types,
             nondet_marks,
             calls: HashMap::new(),
+            bad_allows,
         };
         let mut calls = HashMap::new();
         for fi in 0..ws.files.len() {
@@ -197,12 +200,18 @@ impl Workspace {
         p.contains("/tests/") || p.contains("/benches/") || p.ends_with("simcore/src/kernel.rs")
     }
 
-    /// Resolves a call site to candidate definitions. Name-based with two
-    /// narrowing heuristics: an explicit `Type::name` path keeps only
-    /// impls of `Type`; a `self.name(…)` call inside an impl keeps only
-    /// impls of the caller's `Self` type when any exist.
+    /// Resolves a call site to candidate definitions. Name-based with
+    /// three narrowing rules: a `.name(…)` method call only reaches fns
+    /// taking `self`; an explicit `Type::name` path keeps only impls of
+    /// `Type`; a `self.name(…)` call inside an impl keeps only impls of
+    /// the caller's `Self` type when any exist.
     pub fn resolve(&self, caller: FnId, call: &CallSite) -> Vec<FnId> {
         let Some(cands) = self.fn_index.get(&call.name) else { return Vec::new() };
+        let cands: Vec<FnId> = cands
+            .iter()
+            .copied()
+            .filter(|id| !call.is_method || self.fn_def(*id).self_kind != SelfKind::None)
+            .collect();
         if call.path.len() >= 2 {
             let qual = &call.path[call.path.len() - 2];
             if qual.chars().next().is_some_and(char::is_uppercase) {
@@ -229,7 +238,7 @@ impl Workspace {
                 }
             }
         }
-        cands.clone()
+        cands
     }
 
     /// Reverse edges: every (caller, call-site index) whose callee name is
@@ -246,6 +255,48 @@ impl Workspace {
         out.sort_by_key(|(id, ci)| (id.file, id.idx, *ci));
         out
     }
+}
+
+/// Parses the file's `simlint: allow(...)` directives into line → rules.
+/// Only comment tokens are read, so directive text inside a string
+/// literal is inert; requiring the directive to *start* the comment keeps
+/// prose that merely mentions the syntax (like this crate's docs) inert
+/// too. Malformed directives become [`Rule::BadAllow`] findings.
+fn parse_allows(file: &FileAst, findings: &mut Vec<Finding>) -> HashMap<usize, HashSet<Rule>> {
+    let mut allows: HashMap<usize, HashSet<Rule>> = HashMap::new();
+    for (line, raw) in file.comment_lines() {
+        let comment = raw.trim_start().trim_start_matches(['/', '*', '!']).trim_start();
+        let Some(rest) = comment.strip_prefix("simlint: allow(") else { continue };
+        let mut bad = |msg: String| {
+            findings.push(Finding { file: file.path.clone(), line, rule: Rule::BadAllow, msg });
+        };
+        let Some(close) = rest.rfind(')') else {
+            bad("unterminated allow directive".to_string());
+            continue;
+        };
+        let body = &rest[..close];
+        let rule_name = body.split(',').next().unwrap_or("").trim();
+        let Some(rule) = Rule::from_name(rule_name) else {
+            bad(format!("unknown rule {rule_name:?} in allow directive"));
+            continue;
+        };
+        // A reason is mandatory: allows without rationale rot.
+        let reason_ok = body
+            .find("reason")
+            .map(|r| &body[r + "reason".len()..])
+            .and_then(|after| after.trim_start().strip_prefix('='))
+            .map(|after| after.trim_start())
+            .and_then(|after| after.strip_prefix('"'))
+            .is_some_and(|quoted| quoted.find('"').is_some_and(|end| end > 0));
+        if !reason_ok {
+            bad(format!("allow({rule_name}) needs a non-empty reason = \"...\""));
+            continue;
+        }
+        // The directive covers its own line (trailing comment) and the next.
+        allows.entry(line).or_default().insert(rule);
+        allows.entry(line + 1).or_default().insert(rule);
+    }
+    allows
 }
 
 /// Extracts call sites from a body token range.
@@ -359,8 +410,7 @@ fn extract_calls(file: &FileAst, body: (usize, usize)) -> Vec<CallSite> {
 
 /// Walks `.rs` files under `root` (skipping build output, fixtures,
 /// vendored compat shims), producing `(path, source)` pairs with paths
-/// shown relative to `root`'s parent — the same convention as
-/// [`crate::lint_tree`].
+/// shown relative to `root`'s parent.
 ///
 /// # Errors
 ///
@@ -395,15 +445,16 @@ pub fn read_tree(root: &Path) -> std::io::Result<Vec<(String, String)>> {
 
 /// The full analysis result.
 pub struct Analysis {
-    /// Diagnostics from all three passes, sorted by (file, line, rule).
+    /// Diagnostics from all passes, sorted by (file, line, rule).
     pub findings: Vec<Finding>,
     /// Proven-pure `(type, method)` pairs from the purity pass.
     pub pure: purity::PureReport,
 }
 
-/// Runs all three passes over a built workspace.
+/// Runs every pass over a built workspace.
 pub fn analyze(ws: &Workspace) -> Analysis {
-    let mut findings = Vec::new();
+    let mut findings = ws.bad_allows.clone();
+    findings.extend(lines::run(ws));
     findings.extend(taint::run(ws));
     let pure = purity::run(ws, &mut findings);
     findings.extend(waits::run(ws));
@@ -419,4 +470,100 @@ pub fn analyze(ws: &Workspace) -> Analysis {
 pub fn analyze_tree(root: &Path) -> std::io::Result<Analysis> {
     let ws = Workspace::build(read_tree(root)?);
     Ok(analyze(&ws))
+}
+
+/// Analyzes one in-memory source file.
+#[cfg(test)]
+fn analyze_src(path: &str, src: &str) -> Vec<Finding> {
+    analyze(&Workspace::build(vec![(path.to_string(), src.to_string())])).findings
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SNEAKY: &str = r#"
+impl SharedObject for Sneaky {
+    fn invoke(&mut self, call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
+        match method {
+            "peek" => {
+                self.count += 1;
+                Effects::value(&self.count)
+            }
+            "get" => Effects::value(&self.count),
+            other => Err(ObjErr::MethodNotFound(other.to_string())),
+        }
+    }
+    fn is_readonly(&self, method: &str) -> bool {
+        matches!(method, "peek" | "get")
+    }
+}
+"#;
+
+    #[test]
+    fn readonly_impure_caught() {
+        let f = analyze_src("crates/x/src/obj.rs", SNEAKY);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, Rule::ReadonlyImpure);
+        assert!(f[0].msg.contains("peek"), "{}", f[0].msg);
+        // An honest read-only arm ("get") is not flagged.
+        assert!(!f.iter().any(|f| f.msg.contains("\"get\"")));
+    }
+
+    #[test]
+    fn readonly_impure_allow_honored() {
+        let allowed = SNEAKY.replace(
+            "            \"peek\" =>",
+            "            // simlint: allow(readonly-impure, reason = \"test fixture\")\n            \"peek\" =>",
+        );
+        assert!(analyze_src("crates/x/src/obj.rs", &allowed).is_empty());
+    }
+
+    #[test]
+    fn readonly_method_call_mutators_caught() {
+        let src = r#"
+impl SharedObject for S {
+    fn invoke(&mut self, call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
+        match method {
+            "size" => { self.items.push(1); Effects::value(&0) }
+            other => Err(ObjErr::MethodNotFound(other.to_string())),
+        }
+    }
+    fn is_readonly(&self, method: &str) -> bool { matches!(method, "size") }
+}
+"#;
+        let f = analyze_src("crates/x/src/obj.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, Rule::ReadonlyImpure);
+        assert!(f[0].msg.contains("push"), "{}", f[0].msg);
+    }
+
+    #[test]
+    fn method_calls_never_resolve_to_free_fns() {
+        // A free `elapsed()` declared nondeterministic must taint its own
+        // callers only, not an unrelated `t0.elapsed()` method call.
+        let ws = Workspace::build(vec![
+            ("a/src/wall.rs".into(), "// simanalyze: nondet_source\nfn elapsed() -> u64 { 0 }\n".into()),
+            (
+                "a/src/traced.rs".into(),
+                "fn traced(ctx: &Ctx, t0: Timer) {\n    ctx.metric_record(\"a\", t0.elapsed());\n    ctx.metric_record(\"b\", elapsed());\n}\n"
+                    .into(),
+            ),
+        ]);
+        let traced = FnId { file: 1, idx: 0 };
+        let resolved: Vec<(bool, usize)> = ws
+            .calls_of(traced)
+            .iter()
+            .filter(|c| c.name == "elapsed")
+            .map(|c| (c.is_method, ws.resolve(traced, c).len()))
+            .collect();
+        assert_eq!(resolved, vec![(true, 0), (false, 1)]);
+        let tainted: Vec<usize> = analyze(&ws)
+            .findings
+            .iter()
+            .filter(|f| f.rule == Rule::DeterminismTaint)
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(tainted, vec![3], "only the free call is a source");
+    }
 }

@@ -1,4 +1,4 @@
-//! Pass 2: read-only purity of `SharedObject` methods.
+//! Pass 3: read-only purity of `SharedObject` methods.
 //!
 //! For every `impl SharedObject for T`, the method names quoted in
 //! `is_readonly` are located as match arms inside `invoke` and each arm

@@ -1,4 +1,4 @@
-//! Pass 1: interprocedural determinism taint.
+//! Pass 2: interprocedural determinism taint.
 //!
 //! A *source* is a call that observes the host instead of the simulation:
 //! wall-clock reads (`Instant::now`, `SystemTime::now`), OS randomness
@@ -24,15 +24,23 @@ use super::{CallSite, FnId, Workspace};
 use crate::lex::TokKind;
 use crate::{Finding, Rule};
 
-/// What a sink call feeds, by callee name.
-fn sink_kind(name: &str) -> Option<&'static str> {
+/// Host clock types: `<T>::now` reads the wall clock. The `wall-clock`
+/// and `trace-time` line rules ([`super::lines`]) match the same table.
+pub(crate) const CLOCK_TYPES: [&str; 2] = ["Instant", "SystemTime"];
+
+/// Sink kind: trace span ordering.
+pub(crate) const TRACE: &str = "trace span ordering";
+/// Sink kind: metric recording.
+pub(crate) const METRICS: &str = "metrics";
+
+/// What a sink call feeds, by callee name. The `trace-time` line rule
+/// uses the [`TRACE`] and [`METRICS`] rows.
+pub(crate) fn sink_kind(name: &str) -> Option<&'static str> {
     match name {
         "span_begin" | "span_begin_under" | "span_instant" | "span_end" | "span_annotate" => {
-            Some("trace span ordering")
+            Some(TRACE)
         }
-        "metric_record" | "metric_add" | "metric_incr" | "metric_push" | "record" => {
-            Some("metrics")
-        }
+        "metric_record" | "metric_add" | "metric_incr" | "metric_push" | "record" => Some(METRICS),
         "sleep" | "send" | "call" | "call_timeout" | "push_event" => {
             Some("kernel timing/messaging")
         }
@@ -45,7 +53,7 @@ fn sink_kind(name: &str) -> Option<&'static str> {
 fn source_desc(ws: &Workspace, caller: FnId, call: &CallSite) -> Option<String> {
     let qual = call.path.len().checked_sub(2).map(|i| call.path[i].as_str());
     match call.name.as_str() {
-        "now" if matches!(qual, Some("Instant" | "SystemTime")) => {
+        "now" if qual.is_some_and(|q| CLOCK_TYPES.contains(&q)) => {
             return Some(format!("wall-clock read {}::now", qual.unwrap_or("")));
         }
         "thread_rng" | "from_entropy" => {

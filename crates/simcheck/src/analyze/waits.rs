@@ -1,4 +1,4 @@
-//! Pass 3: wait-annotation coverage.
+//! Pass 4: wait-annotation coverage.
 //!
 //! `Sim::deadlock_report()` reconstructs wait-for graphs from
 //! `Ctx::annotate_wait` calls. A blocking primitive reached without any

@@ -1,6 +1,6 @@
-//! CI gate: runs the interprocedural determinism/purity/wait analyses
-//! (`simcheck::analyze`) over every `.rs` file under `crates/`. Exits
-//! non-zero when any finding survives.
+//! CI gate: runs every `simcheck::analyze` pass (line-local convention
+//! rules, determinism taint, readonly purity, wait annotations) over every
+//! `.rs` file under `crates/`. Exits non-zero when any finding survives.
 //!
 //! Usage:
 //! `cargo run -p simcheck --bin simanalyze [-- [--json] [--readonly-report PATH] [<root>]]`

@@ -58,8 +58,14 @@ pub struct StructDef {
     pub name: String,
     /// Named field idents (empty for tuple structs and enums).
     pub fields: Vec<String>,
-    /// 1-based line of the declaration.
+    /// 1-based line of the `struct`/`enum` keyword.
     pub line: u32,
+    /// Declared plain `pub` (not `pub(crate)` or private).
+    pub is_pub: bool,
+    /// Trait names listed in the item's `#[derive(…)]` attributes.
+    pub derives: Vec<String>,
+    /// Inside a `#[cfg(test)]` module.
+    pub is_test: bool,
     /// Whether any field type mentions an interior-mutability container
     /// (`Cell`, `RefCell`, `Mutex`, `RwLock`, `UnsafeCell`, `Atomic*`) —
     /// a `&self` method of such a type can still mutate.
@@ -78,6 +84,19 @@ pub struct FileAst {
     pub fns: Vec<FnDef>,
     /// Every `struct`/`enum` item found.
     pub structs: Vec<StructDef>,
+}
+
+impl FileAst {
+    /// Every line of comment text with its 1-based line number (a block
+    /// comment yields one entry per line it spans).
+    pub fn comment_lines(&self) -> impl Iterator<Item = (usize, &str)> {
+        self.toks
+            .iter()
+            .filter(|t| matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
+            .flat_map(|t| {
+                t.text(&self.src).lines().enumerate().map(|(k, l)| (t.line as usize + k, l))
+            })
+    }
 }
 
 /// Parses one file into items. Never fails.
@@ -116,6 +135,15 @@ pub fn match_close(toks: &[Tok], src: &str, i: usize, end: usize) -> usize {
         }
     }
     end
+}
+
+/// What an item's outer attributes declared.
+#[derive(Default)]
+struct Attrs {
+    /// `#[test]`-like or `#[cfg(test)]`.
+    test: bool,
+    /// Idents inside `#[derive(…)]`.
+    derives: Vec<String>,
 }
 
 struct Parser<'a> {
@@ -162,9 +190,9 @@ impl Parser<'_> {
     }
 
     /// Scans attributes/doc-comments starting at `i`; returns the index
-    /// after them and whether any was `#[test]`-like or `#[cfg(test)]`.
-    fn skip_attrs(&self, mut i: usize, end: usize) -> (usize, bool) {
-        let mut test = false;
+    /// after them and what they declared.
+    fn skip_attrs(&self, mut i: usize, end: usize) -> (usize, Attrs) {
+        let mut attrs = Attrs::default();
         loop {
             while i < end
                 && matches!(self.ast.toks[i].kind, TokKind::LineComment | TokKind::BlockComment)
@@ -181,13 +209,19 @@ impl Parser<'_> {
                     let body: Vec<&str> =
                         (j + 1..close).map(|k| self.ast.toks[k].text(&self.ast.src)).collect();
                     if body.contains(&"test") {
-                        test = true;
+                        attrs.test = true;
+                    }
+                    if body.first() == Some(&"derive") {
+                        let idents = (j + 2..close)
+                            .filter(|&k| self.ast.toks[k].kind == TokKind::Ident)
+                            .map(|k| self.text(k).to_string());
+                        attrs.derives.extend(idents);
                     }
                     i = close + 1;
                     continue;
                 }
             }
-            return (i, test);
+            return (i, attrs);
         }
     }
 
@@ -219,8 +253,20 @@ impl Parser<'_> {
 
     fn items(&mut self, mut i: usize, end: usize) {
         while i < end {
-            let (after_attrs, attr_test) = self.skip_attrs(i, end);
+            let (after_attrs, attrs) = self.skip_attrs(i, end);
+            let attr_test = attrs.test;
             i = after_attrs;
+            // Visibility: `pub` or `pub(…)`; the attributes above still
+            // belong to the item that follows.
+            let mut is_pub = false;
+            if self.is_ident(i, "pub") {
+                i += 1;
+                if self.is_punct(i, b'(') {
+                    i = match_close(&self.ast.toks, &self.ast.src, i, end) + 1;
+                } else {
+                    is_pub = true;
+                }
+            }
             if i >= end {
                 break;
             }
@@ -278,7 +324,7 @@ impl Parser<'_> {
                     i = self.fn_item(i, end, attr_test);
                 }
                 "struct" | "enum" if i + 1 < end && self.ast.toks[i + 1].kind == TokKind::Ident => {
-                    i = self.struct_item(i, end);
+                    i = self.struct_item(i, end, is_pub, attrs);
                 }
                 _ => i += 1,
             }
@@ -342,7 +388,7 @@ impl Parser<'_> {
         }
     }
 
-    fn struct_item(&mut self, at: usize, end: usize) -> usize {
+    fn struct_item(&mut self, at: usize, end: usize, is_pub: bool, attrs: Attrs) -> usize {
         let name = self.text(at + 1).to_string();
         let line = self.ast.toks[at].line;
         let is_enum = self.text(at) == "enum";
@@ -397,7 +443,15 @@ impl Parser<'_> {
         } else {
             j.min(end) + 1
         };
-        self.ast.structs.push(StructDef { name, fields, line, has_interior_mut: interior });
+        self.ast.structs.push(StructDef {
+            name,
+            fields,
+            line,
+            is_pub,
+            derives: attrs.derives,
+            is_test: self.in_test || attrs.test,
+            has_interior_mut: interior,
+        });
         after
     }
 }
@@ -468,6 +522,28 @@ mod tests {
         assert!(ast.structs[1].fields.is_empty());
         assert_eq!(ast.structs[2].name, "Kind");
         assert!(ast.structs[2].fields.is_empty(), "enum variant fields are not struct fields");
+    }
+
+    #[test]
+    fn attributes_survive_visibility() {
+        let src = "#[derive(Debug, serde::Serialize)]\npub struct A;\n\
+                   #[derive(Clone)]\npub(crate) struct B;\nstruct C;\n\
+                   #[test]\npub fn case() {}\n";
+        let ast = parse_file("a.rs", src);
+        let facts: Vec<(&str, bool, Vec<&str>)> = ast
+            .structs
+            .iter()
+            .map(|s| (s.name.as_str(), s.is_pub, s.derives.iter().map(String::as_str).collect()))
+            .collect();
+        assert_eq!(
+            facts,
+            vec![
+                ("A", true, vec!["Debug", "serde", "Serialize"]),
+                ("B", false, vec!["Clone"]),
+                ("C", false, vec![]),
+            ]
+        );
+        assert!(ast.fns[0].is_test, "#[test] applies through `pub`");
     }
 
     #[test]
